@@ -153,11 +153,11 @@ int Main(int argc, char** argv) {
   Measurement rpc[3];
   Measurement exc[3];
   for (int i = 0; i < 3; ++i) {
-    // Warm, then measure.
-    MeasureRpc(kModels[i], iterations / 10);
-    rpc[i] = MeasureRpc(kModels[i], iterations);
-    MeasureException(kModels[i], iterations / 10);
-    exc[i] = MeasureException(kModels[i], iterations);
+    ControlTransferModel model = kModels[i];
+    rpc[i] = WarmedMedian([model](int n) { return MeasureRpc(model, n); }, iterations,
+                          &Measurement::host_ns);
+    exc[i] = WarmedMedian([model](int n) { return MeasureException(model, n); }, iterations,
+                          &Measurement::host_ns);
   }
 
   std::printf("Table 3: RPC and Exception Times (simulated us, DS3100 cycle model)\n");
@@ -176,8 +176,10 @@ int Main(int argc, char** argv) {
   std::printf("  exception: MK32/MK40 = %.2fx [3.15x], Mach2.5/MK40 = %.2fx [2.81x]\n",
               exc[1].sim_us / exc[0].sim_us, exc[2].sim_us / exc[0].sim_us);
 
-  std::printf("\nHost wall clock, for reference (modern hardware compresses the\n"
-              "register-save costs that dominated the DS3100):\n");
+  std::printf("\nHost wall clock, for reference (median of %d runs after a warm-up;\n"
+              "modern hardware compresses the register-save costs that dominated\n"
+              "the DS3100):\n",
+              kHostReps);
   std::printf("  null RPC : %6.0f / %6.0f / %6.0f ns\n", rpc[0].host_ns, rpc[1].host_ns,
               rpc[2].host_ns);
   std::printf("  exception: %6.0f / %6.0f / %6.0f ns\n", exc[0].host_ns, exc[1].host_ns,

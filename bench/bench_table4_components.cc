@@ -106,11 +106,16 @@ void PrintModeled(const char* label, const CostCounters& c) {
 int Main(int argc, char** argv) {
   int iterations = 200000 * ScaleFromArgs(argc, argv, 1);
 
-  MeasureNullSyscall(ControlTransferModel::kMK40, iterations / 10);  // Warm.
-  Probe mk40_syscall = MeasureNullSyscall(ControlTransferModel::kMK40, iterations);
-  Probe mk32_syscall = MeasureNullSyscall(ControlTransferModel::kMK32, iterations);
-  Probe mk40_transfer = MeasureTransfer(ControlTransferModel::kMK40, iterations / 2);
-  Probe mk32_transfer = MeasureTransfer(ControlTransferModel::kMK32, iterations / 2);
+  // Every cell is warmed and repeated (bench_util.h WarmedMedian), so no
+  // row carries first-run inflation.
+  auto cell = [](Probe (*measure)(ControlTransferModel, int), ControlTransferModel model,
+                 int n) {
+    return WarmedMedian([&](int i) { return measure(model, i); }, n, &Probe::ns_per_op);
+  };
+  Probe mk40_syscall = cell(&MeasureNullSyscall, ControlTransferModel::kMK40, iterations);
+  Probe mk32_syscall = cell(&MeasureNullSyscall, ControlTransferModel::kMK32, iterations);
+  Probe mk40_transfer = cell(&MeasureTransfer, ControlTransferModel::kMK40, iterations / 2);
+  Probe mk32_transfer = cell(&MeasureTransfer, ControlTransferModel::kMK32, iterations / 2);
 
   std::printf("Table 4: Component Costs\n");
   std::printf("Paper (DS3100): instrs/loads/stores. Measured: host ns + modeled words.\n\n");
@@ -123,7 +128,8 @@ int Main(int argc, char** argv) {
   std::printf("%-28s %7.0f cyc %7.0f cyc   83i/22l/18s       250i/52l/27s\n",
               "yield transfer (handoff/switch)", mk40_transfer.cycles_per_op,
               mk32_transfer.cycles_per_op);
-  std::printf("\nHost wall clock per operation:\n");
+  std::printf("\nHost wall clock per operation (median of %d runs after a warm-up):\n",
+              kHostReps);
   std::printf("%-28s %12s %12s\n", "", "MK40", "MK32");
   std::printf("%-28s %9.1f ns %9.1f ns\n", "null syscall (entry+exit)",
               mk40_syscall.ns_per_op, mk32_syscall.ns_per_op);

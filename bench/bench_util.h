@@ -2,12 +2,14 @@
 #ifndef MACHCONT_BENCH_BENCH_UTIL_H_
 #define MACHCONT_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/obs/trace_export.h"  // JsonEscape
 
@@ -158,6 +160,28 @@ class WallTimer {
  private:
   std::chrono::steady_clock::time_point start_;
 };
+
+// Measured runs per host-time cell; the cell reports their median.
+inline constexpr int kHostReps = 5;
+
+// Host-time measurement with warm-up and repetition: runs `measure` once at
+// a tenth of `iterations` (the first run of a cell reads ~50% high), then
+// kHostReps times at full size, and returns the last result with its
+// `host_ns` field replaced by the median over the repetitions. Every other
+// field is virtual and so identical in each repetition.
+template <typename Result, typename Fn>
+Result WarmedMedian(Fn measure, int iterations, double Result::*host_ns) {
+  measure(std::max(1, iterations / 10));
+  std::vector<double> samples;
+  Result result{};
+  for (int i = 0; i < kHostReps; ++i) {
+    result = measure(iterations);
+    samples.push_back(result.*host_ns);
+  }
+  std::nth_element(samples.begin(), samples.begin() + kHostReps / 2, samples.end());
+  result.*host_ns = samples[kHostReps / 2];
+  return result;
+}
 
 }  // namespace mkc
 

@@ -1,14 +1,15 @@
 // Simple spinlocks guarding kernel data structures.
 //
 // The paper's kernel runs on cache-coherent multiprocessors, so its run
-// queues, port queues and stack pool take simple locks. The reproduction
-// executes its simulated processors on one host thread, but keeping real
-// locks (a) preserves the code shape of the original paths and (b) keeps the
-// cost of lock/unlock visible to the latency benchmarks.
+// queues, port queues and stack pool take simple locks, and the reproduction
+// keeps them to preserve the code shape of the original paths. The simulator
+// itself runs on one host thread — its simulated processors are interleaved
+// only at safe points — so no lock is ever contended by another host thread
+// and an atomic would buy nothing. The lock is a plain held flag whose only
+// job is to catch a lock held across a thread block: the cycle model never
+// charged for locking, so the flag costs no virtual time either.
 #ifndef MACHCONT_SRC_BASE_SPINLOCK_H_
 #define MACHCONT_SRC_BASE_SPINLOCK_H_
-
-#include <atomic>
 
 #include "src/base/panic.h"
 
@@ -21,20 +22,27 @@ class SpinLock {
   SpinLock& operator=(const SpinLock&) = delete;
 
   void Lock() {
-    while (flag_.test_and_set(std::memory_order_acquire)) {
-      // Uniprocessor simulation: a contended spinlock means a lock was held
-      // across a block, which the kernel forbids (a blocked holder could
-      // never release it). Fail fast instead of spinning forever.
+    if (held_) {
+      // One host thread: a held lock at Lock() means its holder blocked
+      // without releasing it, which the kernel forbids (a blocked holder
+      // could never release it). Fail fast instead of spinning forever.
       Panic("spinlock deadlock: lock held across a thread block");
     }
+    held_ = true;
   }
 
-  bool TryLock() { return !flag_.test_and_set(std::memory_order_acquire); }
+  bool TryLock() {
+    if (held_) {
+      return false;
+    }
+    held_ = true;
+    return true;
+  }
 
-  void Unlock() { flag_.clear(std::memory_order_release); }
+  void Unlock() { held_ = false; }
 
  private:
-  std::atomic_flag flag_ = ATOMIC_FLAG_INIT;
+  bool held_ = false;
 };
 
 // Scoped holder, RAII style.

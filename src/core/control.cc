@@ -54,22 +54,20 @@ void ConsultHandoffRecognition(Kernel& k, Thread* resumed, bool charged) {
 
 }  // namespace
 
-[[noreturn]] void ResumeAfterHandoff(Thread* resumed) {
-  Kernel& k = ActiveKernel();
-  MKC_ASSERT(CurrentThread() == resumed);
+[[noreturn, gnu::hot]] void ResumeAfterHandoff(Kernel& k, Thread* resumed) {
+  MKC_ASSERT(k.processor().active_thread == resumed);
   // Examining the continuation costs the same few cycles whether or not
   // recognition is enabled or succeeds (§2.4's pointer compare, now a table
   // probe).
   k.ChargeCycles(kCycRecognitionCheck);
   ConsultHandoffRecognition(k, resumed, /*charged=*/true);
-  CallContinuation(TakeContinuation(resumed));
+  CallContinuation(k, resumed, TakeContinuation(resumed));
 }
 
-void ThreadDispatch(Thread* old_thread) {
+void ThreadDispatch(Kernel& k, Thread* old_thread) {
   if (old_thread == nullptr) {
     return;  // First activation after boot: nothing preceded us.
   }
-  Kernel& k = ActiveKernel();
   if (old_thread->continuation != nullptr && old_thread->kernel_stack != nullptr) {
     // The old thread blocked with a continuation: its stack holds nothing of
     // value. Return it to the free pool.
@@ -86,8 +84,9 @@ void ThreadDispatch(Thread* old_thread) {
   // Entry point of a freshly attached stack (installed by ThreadBlock's
   // attach path and by boot). Dispose of whoever ran before us, then run our
   // own continuation.
-  MKC_ASSERT(CurrentThread() == self);
-  ThreadDispatch(old_thread);
+  Kernel& k = ActiveKernel();
+  MKC_ASSERT(k.processor().active_thread == self);
+  ThreadDispatch(k, old_thread);
   Continuation cont = TakeContinuation(self);
   MKC_ASSERT_MSG(cont != nullptr, "thread resumed on a fresh stack without a continuation");
   cont();
@@ -98,9 +97,9 @@ namespace {
 
 // Common core of ThreadBlock / ThreadRunDirected. `next` is null for
 // scheduler selection, non-null for a directed switch.
-void BlockCommon(Continuation cont, BlockReason reason, Thread* next) {
-  Kernel& k = ActiveKernel();
-  Thread* old_thread = CurrentThread();
+void BlockCommon(Kernel& k, Continuation cont, BlockReason reason, Thread* next) {
+  Thread* old_thread = k.processor().active_thread;
+  MKC_ASSERT(old_thread != nullptr);
 
   MKC_ASSERT_MSG(old_thread->state != ThreadState::kRunning,
                  "ThreadBlock called without updating the thread state "
@@ -131,7 +130,7 @@ void BlockCommon(Continuation cont, BlockReason reason, Thread* next) {
       // stack straight to the new thread and enter it through its
       // continuation.
       old_thread->continuation = cont;
-      StackHandoff(new_thread);
+      StackHandoff(k, old_thread, new_thread);
       k.TracePoint(TraceEvent::kHandoff, old_thread->id);
       if (reason != BlockReason::kIdle) {
         ++k.transfer_stats().stack_handoffs;
@@ -151,7 +150,7 @@ void BlockCommon(Continuation cont, BlockReason reason, Thread* next) {
       if (k.config().enable_recognition_table) {
         ConsultHandoffRecognition(k, new_thread, /*charged=*/false);
       }
-      CallContinuation(TakeContinuation(new_thread));
+      CallContinuation(k, new_thread, TakeContinuation(new_thread));
       // NOTREACHED
     }
     // The new thread is stackless but we must preserve our own context (or
@@ -162,31 +161,33 @@ void BlockCommon(Continuation cont, BlockReason reason, Thread* next) {
   }
 
   old_thread->continuation = cont;
-  Thread* prev = SwitchContext(cont, new_thread);
+  Thread* prev = SwitchContext(k, old_thread, cont, new_thread);
   // Only process-model blocks return here, once rescheduled.
-  MKC_ASSERT(CurrentThread() == old_thread);
-  ThreadDispatch(prev);
+  MKC_ASSERT(k.processor().active_thread == old_thread);
+  ThreadDispatch(k, prev);
 }
 
 }  // namespace
 
-void ThreadBlock(Continuation cont, BlockReason reason) { BlockCommon(cont, reason, nullptr); }
+void ThreadBlock(Continuation cont, BlockReason reason) {
+  BlockCommon(ActiveKernel(), cont, reason, nullptr);
+}
 
 void ThreadRunDirected(Thread* next, BlockReason reason) {
+  Kernel& k = ActiveKernel();
   MKC_ASSERT(next != nullptr);
   MKC_ASSERT_MSG(next->state != ThreadState::kRunning, "directed switch to a running thread");
   if (next->state == ThreadState::kRunnable && IntrusiveQueue<Thread, &Thread::run_link>::OnAQueue(next)) {
     // Pull the target off whichever CPU's run queue holds it: we are
     // scheduling it directly, here.
-    ActiveKernel().RunQueueRemove(next);
+    k.RunQueueRemove(next);
   }
-  BlockCommon(nullptr, reason, next);
+  BlockCommon(k, nullptr, reason, next);
 }
 
-void ThreadHandoff(Continuation cont, Thread* next, BlockReason reason) {
-  Kernel& k = ActiveKernel();
-  Thread* old_thread = CurrentThread();
-
+void ThreadHandoff(Kernel& k, Thread* old_thread, Continuation cont, Thread* next,
+                   BlockReason reason) {
+  MKC_ASSERT(old_thread == k.processor().active_thread);
   MKC_ASSERT_MSG(k.UsesContinuations() && k.config().enable_handoff,
                  "ThreadHandoff requires the continuation kernel with handoff enabled");
   MKC_ASSERT(cont != nullptr);
@@ -203,7 +204,7 @@ void ThreadHandoff(Continuation cont, Thread* next, BlockReason reason) {
   k.stack_pool().SampleInUse();
 
   old_thread->continuation = cont;
-  StackHandoff(next);
+  StackHandoff(k, old_thread, next);
   k.TracePoint(TraceEvent::kHandoff, old_thread->id);
   ++k.transfer_stats().stack_handoffs;
   if (old_thread->state == ThreadState::kRunnable) {

@@ -20,13 +20,16 @@
 //
 // Under the kMach25 and kMK32 kernel models, supplied continuations are
 // ignored (forced to the process model) so the same call sites measure all
-// three kernels.
+// three kernels. The handoff-path entries take the kernel and the current
+// thread from their callers, which always hold both.
 #ifndef MACHCONT_SRC_CORE_CONTROL_H_
 #define MACHCONT_SRC_CORE_CONTROL_H_
 
 #include "src/kern/thread.h"
 
 namespace mkc {
+
+class Kernel;
 
 // Blocks the current thread. The caller must have already moved the thread
 // out of kRunning (to kWaiting on some queue/event, kRunnable for
@@ -39,7 +42,9 @@ void ThreadBlock(Continuation cont, BlockReason reason);
 // caller is executing as `next`, in the blocking thread's still-live frame;
 // it must finish with continuation recognition, CallContinuation, or an
 // explicit return to user space. Only valid under models with continuations.
-void ThreadHandoff(Continuation cont, Thread* next, BlockReason reason);
+// `self` must be the current thread.
+void ThreadHandoff(Kernel& k, Thread* self, Continuation cont, Thread* next,
+                   BlockReason reason);
 
 // Directed switch to a specific thread under the process model: the MK32
 // RPC optimization ("it context-switches directly from the sending thread to
@@ -50,7 +55,7 @@ void ThreadRunDirected(Thread* next, BlockReason reason);
 // Disposes of the previously running thread after a context switch: frees
 // its stack if it blocked with a continuation, and returns it to the run
 // queue if it is still runnable. (Figure 4's thread_dispatch.)
-void ThreadDispatch(Thread* old_thread);
+void ThreadDispatch(Kernel& k, Thread* old_thread);
 
 // Fresh-stack entry point installed by StackAttach (Figure 4's
 // thread_continue): dispatches the old thread, then calls the new thread's
@@ -68,7 +73,7 @@ Continuation TakeContinuation(Thread* thread);
 // thread's full continuation when no handler completes the resume. The
 // legacy hard-coded pointer compares (mach_msg receive, both exception fast
 // paths) are now just table entries behind this dispatch.
-[[noreturn]] void ResumeAfterHandoff(Thread* resumed);
+[[noreturn]] void ResumeAfterHandoff(Kernel& k, Thread* resumed);
 
 }  // namespace mkc
 

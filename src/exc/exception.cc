@@ -148,12 +148,12 @@ void ExceptionReplyContinue() {
     EnterKernelEndpointWait(thread, reply_port);
 
     if (k.config().enable_handoff) {
-      ThreadHandoff(ExceptionReplyContinue, server, BlockReason::kException);
+      ThreadHandoff(k, thread, ExceptionReplyContinue, server, BlockReason::kException);
       // Running as the server, in the faulting thread's frame: the shared
       // recognition dispatch short-circuits a server parked in
       // MachMsgContinue (the first table entry), exactly as the old inline
       // pointer compare did.
-      ResumeAfterHandoff(server);
+      ResumeAfterHandoff(k, server);
       // NOTREACHED
     }
     k.ThreadSetrun(server);
@@ -218,12 +218,12 @@ void ExceptionHandleReply(Thread* sender, MachMsgArgs* args, Thread* faulter) {
     // Return phase of the exception RPC, symmetric to the request: the
     // server blocks for its next request and hands the stack back to the
     // faulting thread.
-    EnterReceiveWait(sender, args->msg, args->rcv_port, args->rcv_limit, args->options);
-    ThreadHandoff(ChooseReceiveContinuation(args->options, args->rcv_limit), faulter,
-                  BlockReason::kMessageReceive);
+    EnterReceiveWait(sender, args->msg, rport, args->rcv_limit, args->options);
+    ThreadHandoff(k, sender, ChooseReceiveContinuation(args->options, args->rcv_limit),
+                  faulter, BlockReason::kMessageReceive);
     // Running as the faulting thread: the recognition table's
     // ExceptionReplyContinue entry finishes the exception in place.
-    ResumeAfterHandoff(faulter);
+    ResumeAfterHandoff(k, faulter);
     // NOTREACHED
   }
 

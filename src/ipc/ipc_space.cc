@@ -44,12 +44,6 @@ IpcSpace::~IpcSpace() {
 PortId IpcSpace::AllocatePort(Task* owner) {
   auto port = std::make_unique<Port>();
   port->owner = owner;
-  if (!kernel_.config().port_generations) {
-    // Legacy namespace: the table only grows and names are bare indices.
-    port->id = static_cast<PortId>(ports_.size() + 1);
-    ports_.push_back(std::move(port));
-    return ports_.back()->id;
-  }
   if (!free_slots_.empty()) {
     std::uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
@@ -93,25 +87,6 @@ KernReturn IpcSpace::RemoveFromSet(PortId port_id) {
   port->owner_set->members.Remove(port);
   port->owner_set = nullptr;
   return KernReturn::kSuccess;
-}
-
-Port* IpcSpace::Lookup(PortId id) {
-  if (!kernel_.config().port_generations) {
-    if (id == kInvalidPort || id > ports_.size()) {
-      return nullptr;
-    }
-    Port* port = ports_[id - 1].get();
-    return (port != nullptr && port->alive) ? port : nullptr;
-  }
-  std::uint32_t slot = PortSlotOf(id);
-  if (slot >= ports_.size()) {  // Also rejects kInvalidPort (slot == ~0u).
-    return nullptr;
-  }
-  if (port_gens_[slot] != PortGenOf(id)) {
-    return nullptr;  // Stale name: the slot has been reused since.
-  }
-  Port* port = ports_[slot].get();
-  return (port != nullptr && port->alive) ? port : nullptr;
 }
 
 void IpcSpace::DestroyPort(PortId id) {

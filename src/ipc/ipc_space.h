@@ -35,8 +35,9 @@ class IpcSpace {
   IpcSpace& operator=(const IpcSpace&) = delete;
 
   // Creates a port owned by `owner` (may be null for kernel-internal ports).
-  // With config.port_generations the name comes from the slot freelist and
-  // carries the slot's current generation; otherwise the table only grows.
+  // The name comes from the slot freelist and carries the slot's current
+  // generation; without config.port_generations the freelist stays empty,
+  // so the table only grows.
   PortId AllocatePort(Task* owner);
 
   // Creates a port set: receivers on the set get messages sent to any
@@ -49,8 +50,18 @@ class IpcSpace {
   // Removes `port` from its set, if any.
   KernReturn RemoveFromSet(PortId port);
 
-  // Returns the port for `id`, or nullptr if invalid/stale/dead.
-  Port* Lookup(PortId id);
+  // Returns the port for `id`, or nullptr if invalid/stale/dead. Inline:
+  // every mach_msg phase looks up at least one port. One decode serves both
+  // namespaces: a legacy (no port_generations) name is a generation-0 name
+  // whose slot is never reused.
+  Port* Lookup(PortId id) {
+    std::uint32_t slot = PortSlotOf(id);
+    if (slot >= ports_.size() || port_gens_[slot] != PortGenOf(id)) {
+      return nullptr;  // Invalid name (slot ~0u), or stale: the slot was reused.
+    }
+    Port* port = ports_[slot].get();
+    return (port != nullptr && port->alive) ? port : nullptr;
+  }
 
   // Marks the port dead: flushes queued messages and fails out any waiting
   // receivers with kRcvPortDied. With port_generations the slot is then

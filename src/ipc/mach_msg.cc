@@ -73,7 +73,7 @@ bool StrictOptions(std::uint32_t options, std::uint32_t rcv_limit) {
 // Completes the current thread's receive. Shared by the two receive
 // continuations; re-blocks (tail-recursively, with the same continuation) on
 // spurious wakeups. MK40 only.
-[[noreturn]] void FinishReceiveContinuation(bool strict) {
+[[noreturn, gnu::hot]] void FinishReceiveContinuation(bool strict) {
   Kernel& k = ActiveKernel();
   Thread* t = CurrentThread();
   auto& st = t->Scratch<MsgWaitState>();
@@ -126,7 +126,7 @@ bool StrictOptions(std::uint32_t options, std::uint32_t rcv_limit) {
 // completes its mach_msg right in the inherited frame, skipping the general
 // continuation entirely. Declines (queued-path or spurious wakeups) fall
 // back to FinishReceiveContinuation via the full continuation.
-bool ReceiveResumeRecognized(Kernel& k, Thread* receiver) {
+[[gnu::hot]] bool ReceiveResumeRecognized(Kernel& k, Thread* receiver) {
   auto& st = receiver->Scratch<MsgWaitState>();
   if ((st.flags & kMsgWaitDirectComplete) == 0) {
     return false;  // Nothing delivered in place: run the general path.
@@ -141,7 +141,7 @@ bool ReceiveResumeRecognized(Kernel& k, Thread* receiver) {
 
 // Send phase. Returns a status for the caller to act on; DOES NOT return at
 // all when the fast RPC path transfers control away.
-KernReturn MsgSendPhase(Thread* t, MachMsgArgs* args) {
+[[gnu::hot]] KernReturn MsgSendPhase(Thread* t, MachMsgArgs* args) {
   Kernel& k = ActiveKernel();
   UserMessage* msg = args->msg;
   if (msg == nullptr || args->send_size > kMaxInlineBytes) {
@@ -214,11 +214,10 @@ KernReturn MsgSendPhase(Thread* t, MachMsgArgs* args) {
           // Sender blocks with mach_msg_continue (in its scratch: the
           // receive parameters) and hands its stack to the receiver.
           ++k.ipc().stats().fast_rpc_handoffs;
-          EnterReceiveWait(t, msg, args->rcv_port, args->rcv_limit, args->options,
-                           args->timeout);
-          ThreadHandoff(ChooseReceiveContinuation(args->options, args->rcv_limit), receiver,
-                        BlockReason::kMessageReceive);
-          ResumeAfterHandoff(receiver);
+          EnterReceiveWait(t, msg, rport, args->rcv_limit, args->options, args->timeout);
+          ThreadHandoff(k, t, ChooseReceiveContinuation(args->options, args->rcv_limit),
+                        receiver, BlockReason::kMessageReceive);
+          ResumeAfterHandoff(k, receiver);
           // NOTREACHED
         }
         // Send-only (or fast path unavailable): the receiver got its
@@ -237,8 +236,7 @@ KernReturn MsgSendPhase(Thread* t, MachMsgArgs* args) {
         if (rcv_phase && rport != nullptr && !PortHasQueuedMessages(rport)) {
           // MK32's RPC optimization: skip the scheduler, context-switch
           // straight to the receiver (full register save — no handoff).
-          EnterReceiveWait(t, msg, args->rcv_port, args->rcv_limit, args->options,
-                           args->timeout);
+          EnterReceiveWait(t, msg, rport, args->rcv_limit, args->options, args->timeout);
           ThreadRunDirected(receiver, BlockReason::kMessageReceive);
           ProcessModelReceiveFinish(t);
           // NOTREACHED
@@ -309,7 +307,7 @@ KernReturn MsgSendPhase(Thread* t, MachMsgArgs* args) {
 }
 
 // Receive phase; never returns.
-[[noreturn]] void MsgReceivePhase(Thread* t, MachMsgArgs* args) {
+[[noreturn, gnu::hot]] void MsgReceivePhase(Thread* t, MachMsgArgs* args) {
   Kernel& k = ActiveKernel();
   k.ChargeCycles(kCycMsgPhaseBase + kCycPortLookup);
   Port* port = k.ipc().Lookup(args->rcv_port);
@@ -338,8 +336,7 @@ KernReturn MsgSendPhase(Thread* t, MachMsgArgs* args) {
     ThreadSyscallReturn(KernReturn::kSuccess);
   }
 
-  EnterReceiveWait(t, args->msg, args->rcv_port, args->rcv_limit, args->options,
-                   args->timeout);
+  EnterReceiveWait(t, args->msg, port, args->rcv_limit, args->options, args->timeout);
   ThreadBlock(k.UsesContinuations()
                   ? ChooseReceiveContinuation(args->options, args->rcv_limit)
                   : nullptr,
@@ -354,14 +351,12 @@ Continuation ChooseReceiveContinuation(std::uint32_t options, std::uint32_t rcv_
   return StrictOptions(options, rcv_limit) ? MachMsgSlowContinue : MachMsgContinue;
 }
 
-void EnterReceiveWait(Thread* thread, UserMessage* buffer, PortId port_id,
+void EnterReceiveWait(Thread* thread, UserMessage* buffer, Port* port,
                       std::uint32_t rcv_limit, std::uint32_t options, Ticks timeout) {
-  Kernel& k = ActiveKernel();
-  Port* port = k.ipc().Lookup(port_id);
-  MKC_ASSERT(port != nullptr);
+  MKC_ASSERT(port != nullptr && port->alive);
   auto& st = thread->Scratch<MsgWaitState>();
   st.user_buffer = buffer;
-  st.port = port_id;
+  st.port = port->id;
   st.rcv_limit = rcv_limit;
   st.options = options;
   st.result = KernReturn::kSuccess;
@@ -371,9 +366,9 @@ void EnterReceiveWait(Thread* thread, UserMessage* buffer, PortId port_id,
   ++thread->wait_seq;
 
   if (timeout != 0) {
-    Kernel* kp = &k;
+    Kernel* kp = &ActiveKernel();
     std::uint32_t armed_seq = thread->wait_seq;
-    k.events().Post(k.clock().Now() + timeout, [kp, thread, armed_seq] {
+    kp->events().Post(kp->clock().Now() + timeout, [kp, thread, armed_seq] {
       // Fire only if the very wait we were armed for is still in progress.
       if (thread->wait_seq != armed_seq || thread->state != ThreadState::kWaiting) {
         return;
@@ -464,7 +459,7 @@ void DeliverDirect(Thread* receiver, const MessageHeader& header, const void* bo
   k.SpanAdopt(receiver, header.span);
 }
 
-[[noreturn]] void ProcessModelReceiveFinish(Thread* thread) {
+[[noreturn, gnu::hot]] void ProcessModelReceiveFinish(Thread* thread) {
   Kernel& k = ActiveKernel();
   MKC_ASSERT(!k.UsesContinuations());
   for (;;) {
@@ -524,7 +519,7 @@ void RegisterIpcRecognition(RecognitionTable& table) {
   table.Register(&MachMsgContinue, &ReceiveResumeRecognized, nullptr);
 }
 
-[[noreturn]] void HandleMachMsg(Thread* thread, MachMsgArgs* args) {
+[[noreturn, gnu::hot]] void HandleMachMsg(Thread* thread, MachMsgArgs* args) {
   if ((args->options & kMsgSendOpt) != 0) {
     KernReturn kr = MsgSendPhase(thread, args);  // May transfer away.
     if (kr != KernReturn::kSuccess) {

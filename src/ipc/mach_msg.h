@@ -60,11 +60,12 @@ void MachMsgSlowContinue();
 // Chooses between the two receive continuations based on the options.
 Continuation ChooseReceiveContinuation(std::uint32_t options, std::uint32_t rcv_limit);
 
-// Enters receive-wait state: fills the scratch area and queues the thread on
-// the port's receiver queue. Shared by mach_msg and the exception path.
+// Enters receive-wait state on the live `port` (which every caller has just
+// looked up): fills the scratch area and queues the thread on the port's
+// receiver queue. Shared by mach_msg, the exception path and netipc.
 // A non-zero `timeout` arms a virtual-time timer that fails the receive with
 // kRcvTimedOut if nothing arrives in time.
-void EnterReceiveWait(Thread* thread, UserMessage* buffer, PortId port_id,
+void EnterReceiveWait(Thread* thread, UserMessage* buffer, Port* port,
                       std::uint32_t rcv_limit, std::uint32_t options, Ticks timeout = 0);
 
 // Pops the first waiting receiver able to accept a `size`-byte message.

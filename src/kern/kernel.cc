@@ -22,20 +22,18 @@
 #include "src/vm/vm_system.h"
 
 namespace mkc {
-namespace {
 
-Kernel* g_active_kernel = nullptr;
+Kernel* kernel_detail::g_active_kernel = nullptr;
+
+namespace {
 
 // Stack-pool observer: emits a kStackPoolSize counter event after every
 // Allocate/Free. Installed only when tracing is enabled, so a disabled trace
 // costs the pool nothing (not even the null check it would otherwise share).
 void StackPoolTraceHook(void* ctx, std::uint64_t in_use, std::uint64_t cached) {
-  auto* k = static_cast<Kernel*>(ctx);
-  Thread* t = k->processor().active_thread;
-  k->trace().Record(k->TraceNow(), t != nullptr ? t->id : 0, TraceEvent::kStackPoolSize,
-                    static_cast<std::uint32_t>(in_use), static_cast<std::uint32_t>(cached),
-                    t != nullptr ? t->span_id : 0,
-                    static_cast<std::uint16_t>(k->processor().id));
+  static_cast<Kernel*>(ctx)->TracePoint(TraceEvent::kStackPoolSize,
+                                        static_cast<std::uint32_t>(in_use),
+                                        static_cast<std::uint32_t>(cached));
 }
 
 }  // namespace
@@ -51,19 +49,6 @@ const char* ModelName(ControlTransferModel model) {
   }
   return "unknown";
 }
-
-Kernel& ActiveKernel() {
-  MKC_ASSERT_MSG(g_active_kernel != nullptr, "no kernel is running on this host thread");
-  return *g_active_kernel;
-}
-
-Thread* CurrentThread() {
-  Thread* t = ActiveKernel().processor().active_thread;
-  MKC_ASSERT(t != nullptr);
-  return t;
-}
-
-bool KernelIsActive() { return g_active_kernel != nullptr; }
 
 Kernel::Kernel(const KernelConfig& config)
     : config_(config),
@@ -452,7 +437,7 @@ void Kernel::RegisterContinuations() {
   RegisterTrapContinuations(cont_registry_);
 }
 
-bool Kernel::ConsultWakeupRecognition(Thread* waiter) {
+bool Kernel::ConsultWakeupRecognitionSlow(Thread* waiter) {
   // Wakeup-side recognition is new with the table: both flags gate it, so
   // the ablation modes keep the pre-table wakeup path bit for bit.
   if (!config_.enable_recognition || !config_.enable_recognition_table) {
@@ -512,9 +497,9 @@ void Kernel::BootIfNeeded() {
 }
 
 void Kernel::Run() {
-  MKC_ASSERT_MSG(g_active_kernel == nullptr, "a kernel is already running (no nesting)");
+  MKC_ASSERT_MSG(!KernelIsActive(), "a kernel is already running (no nesting)");
   MKC_ASSERT(!running_);
-  g_active_kernel = this;
+  kernel_detail::g_active_kernel = this;
   running_ = true;
 
   BootIfNeeded();
@@ -547,7 +532,7 @@ void Kernel::Run() {
     shutdown_stack_ = nullptr;
   }
   running_ = false;
-  g_active_kernel = nullptr;
+  kernel_detail::g_active_kernel = nullptr;
 }
 
 void Kernel::SwitchToCpu(int target) {
@@ -959,14 +944,20 @@ std::uint64_t Kernel::RunDueEvents() {
   return ran;
 }
 
-// Declared in src/obs/timed_scope.h, which deliberately does not see the
-// Kernel definition.
-Ticks KernelLatencyNow(const Kernel& kernel) { return kernel.LatencyNow(); }
+void Kernel::TracePointSlow(TraceEvent event, std::uint32_t aux, std::uint32_t aux2) {
+  Thread* t = current_cpu_->active_thread;
+  trace_.Record(TraceNow(), t != nullptr ? t->id : 0, event, aux, aux2,
+                t != nullptr ? t->span_id : 0, static_cast<std::uint16_t>(current_cpu_->id));
+}
 
-std::uint32_t Kernel::SpanBegin(SpanKind kind) {
-  if (!spans_armed_) {
-    return 0;
-  }
+void Kernel::TracePointSpanSlow(std::uint32_t span, TraceEvent event, std::uint32_t aux,
+                                std::uint32_t aux2) {
+  Thread* t = current_cpu_->active_thread;
+  trace_.Record(TraceNow(), t != nullptr ? t->id : 0, event, aux, aux2, span,
+                static_cast<std::uint16_t>(current_cpu_->id));
+}
+
+std::uint32_t Kernel::SpanBeginSlow(SpanKind kind) {
   Thread* t = CurrentThread();
   std::uint32_t id = next_span_id_++;
   // Nesting (e.g. a fault raised inside an RPC): remember the enclosing
@@ -983,10 +974,7 @@ std::uint32_t Kernel::SpanBegin(SpanKind kind) {
   return id;
 }
 
-void Kernel::SpanEnd(SpanKind kind) {
-  if (!spans_armed_) {
-    return;
-  }
+void Kernel::SpanEndSlow(SpanKind kind) {
   Thread* t = CurrentThread();
   if (t->span_id == 0) {
     return;  // Span began before tracing was (re)configured.
@@ -1004,10 +992,7 @@ void Kernel::SpanEnd(SpanKind kind) {
   t->span_start = t->span_id != 0 ? TraceNow() : 0;
 }
 
-void Kernel::SpanAdopt(Thread* thread, std::uint32_t span) {
-  if (!spans_armed_ || span == 0) {
-    return;
-  }
+void Kernel::SpanAdoptSlow(Thread* thread, std::uint32_t span) {
   // Same-span adoption (a client receiving the reply to its own request) is
   // a no-op so the client's own span_parent survives the delivery.
   if (thread->span_id != span) {

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/panic.h"
 #include "src/base/queue.h"
 #include "src/base/rng.h"
 #include "src/base/types.h"
@@ -240,7 +241,11 @@ class Kernel {
   // Machine-wide elapsed virtual time: the frontier (max) of the per-CPU
   // clocks. This is the "wall clock" of the simulated machine — N CPUs
   // working in parallel advance it at 1/N the rate of their summed work.
+  // A uniprocessor's frontier is its one clock, read without the scan.
   Ticks VirtualTime() const {
+    if (config_.ncpu == 1) {
+      return current_cpu_->clock.Now();
+    }
     Ticks t = 0;
     for (const auto& cpu : cpus_) {
       if (cpu->clock.Now() > t) {
@@ -258,13 +263,12 @@ class Kernel {
   Ticks TraceNow() const { return VirtualTime(); }
 
   // Trace helper: records with the current virtual time, thread, and the
-  // thread's causal span (src/obs/span.h).
+  // thread's causal span (src/obs/span.h). Like every observability hook on
+  // the transfer paths, the unarmed case is one inline branch; the record
+  // itself is built out of line.
   void TracePoint(TraceEvent event, std::uint32_t aux = 0, std::uint32_t aux2 = 0) {
-    if (trace_.enabled()) {
-      Thread* t = current_cpu_->active_thread;
-      trace_.Record(TraceNow(), t != nullptr ? t->id : 0, event, aux, aux2,
-                    t != nullptr ? t->span_id : 0,
-                    static_cast<std::uint16_t>(current_cpu_->id));
+    if (trace_.enabled()) [[unlikely]] {
+      TracePointSlow(event, aux, aux2);
     }
   }
 
@@ -273,10 +277,8 @@ class Kernel {
   // stack attach/detach on behalf of the subject thread).
   void TracePointSpan(std::uint32_t span, TraceEvent event, std::uint32_t aux = 0,
                       std::uint32_t aux2 = 0) {
-    if (trace_.enabled()) {
-      Thread* t = current_cpu_->active_thread;
-      trace_.Record(TraceNow(), t != nullptr ? t->id : 0, event, aux, aux2, span,
-                    static_cast<std::uint16_t>(current_cpu_->id));
+    if (trace_.enabled()) [[unlikely]] {
+      TracePointSpanSlow(span, event, aux, aux2);
     }
   }
 
@@ -289,9 +291,22 @@ class Kernel {
   // migration and steal. All three are no-ops (and span ids stay 0
   // everywhere) unless spans are armed — by a trace ring or by the SLO
   // tracker, which measures span latencies even with tracing off.
-  std::uint32_t SpanBegin(SpanKind kind);
-  void SpanEnd(SpanKind kind);
-  void SpanAdopt(Thread* thread, std::uint32_t span);
+  std::uint32_t SpanBegin(SpanKind kind) {
+    if (!spans_armed_) [[likely]] {
+      return 0;
+    }
+    return SpanBeginSlow(kind);
+  }
+  void SpanEnd(SpanKind kind) {
+    if (spans_armed_) [[unlikely]] {
+      SpanEndSlow(kind);
+    }
+  }
+  void SpanAdopt(Thread* thread, std::uint32_t span) {
+    if (spans_armed_ && span != 0) [[unlikely]] {
+      SpanAdoptSlow(thread, span);
+    }
+  }
 
   // --- Continuation-aware observability (src/obs/) ------------------------
   // The registry maps continuation pointers to names for the profiler's
@@ -315,32 +330,39 @@ class Kernel {
   // Wakeup-side recognition consult: called where a direct delivery would
   // otherwise make `waiter` runnable. Returns true when a specialized
   // on_wakeup handler absorbed the wakeup — the waiter has been re-parked
-  // and the caller must skip its ThreadSetrun/handoff. One predictable
-  // branch (and no cycle charge) when recognition or the table is off.
-  bool ConsultWakeupRecognition(Thread* waiter);
+  // and the caller must skip its ThreadSetrun/handoff. One inline branch
+  // when no wakeup handler is registered (every single-node kernel), and no
+  // cycle charge when recognition or the table is off.
+  bool ConsultWakeupRecognition(Thread* waiter) {
+    if (!recognition_table_.has_wakeup_handlers()) {
+      return false;
+    }
+    return ConsultWakeupRecognitionSlow(waiter);
+  }
 
   // Observability safe point: called where virtual time has just advanced
   // (UserWork, the idle loop's event drain).
   void ObsTick() {
-    if (obs_tick_armed_) {
+    if (obs_tick_armed_) [[unlikely]] {
       ObsTickSlow();
     }
   }
 
   // Per-continuation accounting (blocks / resumes / recognitions), active
-  // only while a profiler is configured.
+  // only while a profiler is configured. The registry's counters live out
+  // of line, so each hook inlines to the one flag test.
   void NoteContBlock(Continuation cont) {
-    if (cont_accounting_ && cont != nullptr) {
+    if (cont_accounting_ && cont != nullptr) [[unlikely]] {
       cont_registry_.NoteBlock(cont);
     }
   }
   void NoteContResume(Continuation cont) {
-    if (cont_accounting_ && cont != nullptr) {
+    if (cont_accounting_ && cont != nullptr) [[unlikely]] {
       cont_registry_.NoteResume(cont);
     }
   }
   void NoteContRecognition(Continuation cont) {
-    if (cont_accounting_ && cont != nullptr) {
+    if (cont_accounting_ && cont != nullptr) [[unlikely]] {
       cont_registry_.NoteRecognition(cont);
     }
   }
@@ -454,7 +476,17 @@ class Kernel {
   void BootIfNeeded();
   void RegisterMetrics();
   void RegisterContinuations();
-  void ObsTickSlow();
+
+  // Armed halves of the inline observability hooks above.
+  [[gnu::noinline]] void ObsTickSlow();
+  [[gnu::noinline]] void TracePointSlow(TraceEvent event, std::uint32_t aux,
+                                        std::uint32_t aux2);
+  [[gnu::noinline]] void TracePointSpanSlow(std::uint32_t span, TraceEvent event,
+                                            std::uint32_t aux, std::uint32_t aux2);
+  [[gnu::noinline]] std::uint32_t SpanBeginSlow(SpanKind kind);
+  [[gnu::noinline]] void SpanEndSlow(SpanKind kind);
+  [[gnu::noinline]] void SpanAdoptSlow(Thread* thread, std::uint32_t span);
+  bool ConsultWakeupRecognitionSlow(Thread* waiter);
   Thread* AllocateThread();
   [[noreturn]] void ReaperLoop();
 
@@ -550,10 +582,28 @@ class Kernel {
 
 // Ambient access to the machine currently executing on this host thread.
 // Valid only while a Kernel::Run() is in progress (all kernel paths and
-// simulated user code run within one).
-Kernel& ActiveKernel();
-Thread* CurrentThread();
-bool KernelIsActive();
+// simulated user code run within one). Forced inline: the RPC and handoff
+// paths consult them dozens of times per round trip, so an out-of-line call
+// each time would cost more than the lookup itself — and most of those
+// paths end in a [[noreturn]] transfer, which the compiler treats as run
+// once and so declines to inline into by its own choice.
+namespace kernel_detail {
+extern Kernel* g_active_kernel;  // Set by Kernel::Run for its duration.
+}  // namespace kernel_detail
+
+[[gnu::always_inline]] inline Kernel& ActiveKernel() {
+  MKC_ASSERT_MSG(kernel_detail::g_active_kernel != nullptr,
+                 "no kernel is running on this host thread");
+  return *kernel_detail::g_active_kernel;
+}
+
+[[gnu::always_inline]] inline Thread* CurrentThread() {
+  Thread* t = ActiveKernel().processor().active_thread;
+  MKC_ASSERT(t != nullptr);
+  return t;
+}
+
+inline bool KernelIsActive() { return kernel_detail::g_active_kernel != nullptr; }
 
 }  // namespace mkc
 

@@ -19,11 +19,17 @@ void RecognitionTable::Register(Continuation fn,
   entry.on_handoff = on_handoff;
   entry.on_wakeup = on_wakeup;
   entries_.push_back(entry);
+  if (on_wakeup != nullptr) {
+    ++wakeup_handlers_;
+  }
 }
 
 void RecognitionTable::Unregister(Continuation fn) {
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (it->fn == fn) {
+      if (it->on_wakeup != nullptr) {
+        --wakeup_handlers_;
+      }
       entries_.erase(it);
       return;
     }

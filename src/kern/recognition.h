@@ -113,12 +113,17 @@ class RecognitionTable {
   void set_enabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
 
+  // True when some entry has an on_wakeup handler. Only clustered kernels
+  // (netipc) register any, so a single machine's wakeup consults stop here.
+  bool has_wakeup_handlers() const { return wakeup_handlers_ > 0; }
+
   const std::vector<RecognitionEntry>& entries() const { return entries_; }
 
   void ResetCounts();
 
  private:
   std::vector<RecognitionEntry> entries_;
+  int wakeup_handlers_ = 0;  // Entries with a non-null on_wakeup.
   bool enabled_ = true;
 };
 

@@ -60,8 +60,13 @@ class StackPool {
   void NoteCacheAllocate();
   void NoteCacheFree();
 
-  // Records one sample of the in-use count for the §3.4 average.
-  void SampleInUse();
+  // Records one sample of the in-use count for the §3.4 average. Inline:
+  // every block takes a sample.
+  void SampleInUse() {
+    SpinLockGuard guard(lock_);
+    ++stats_.samples;
+    stats_.sample_sum += stats_.in_use;
+  }
 
   const StackPoolStats& stats() const { return stats_; }
   std::size_t stack_bytes() const { return stack_bytes_; }

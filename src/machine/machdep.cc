@@ -134,10 +134,10 @@ KernelStack* StackDetach(Thread* thread) {
   return stack;
 }
 
-void StackHandoff(Thread* new_thread) {
-  Kernel& k = ActiveKernel();
-  Thread* old_thread = CurrentThread();
-  Ticks transfer_start = k.clock().Now();
+void StackHandoff(Kernel& k, Thread* old_thread, Thread* new_thread) {
+  Processor& cpu = k.processor();
+  Ticks transfer_start = cpu.clock.Now();
+  MKC_ASSERT(old_thread == cpu.active_thread);
   MKC_ASSERT(new_thread != old_thread);
   MKC_ASSERT_MSG(old_thread->kernel_stack != nullptr, "handoff from a stackless thread");
   MKC_ASSERT_MSG(new_thread->kernel_stack == nullptr,
@@ -154,20 +154,19 @@ void StackHandoff(Thread* new_thread) {
   new_thread->kernel_stack = stack;
 
   PmapActivate(k, new_thread);
-  k.processor().active_thread = new_thread;
-  new_thread->last_cpu = k.processor().id;
-  new_thread->quantum_start = k.clock().Now();
+  cpu.active_thread = new_thread;
+  new_thread->last_cpu = cpu.id;
+  new_thread->quantum_start = cpu.clock.Now();
   k.cost_model().Account(CostOp::kStackHandoff, 3, 4);
   k.ChargeCycles(kCycStackHandoff);
-  k.lat().transfer_handoff->Record(k.clock().Now() - transfer_start);
+  k.lat().transfer_handoff->Record(cpu.clock.Now() - transfer_start);
   RecordResumeLatency(k, new_thread);
   // Execution continues in the caller's frame, now owned by new_thread
   // ("stack_handoff returns as the new thread").
 }
 
-[[noreturn]] void CallContinuation(Continuation cont) {
-  Kernel& k = ActiveKernel();
-  Thread* thread = CurrentThread();
+[[noreturn, gnu::hot]] void CallContinuation(Kernel& k, Thread* thread, Continuation cont) {
+  MKC_ASSERT(thread == k.processor().active_thread);
   MKC_ASSERT(cont != nullptr);
   MKC_ASSERT(thread->kernel_stack != nullptr);
   thread->md.pending_continuation = cont;
@@ -183,10 +182,10 @@ void StackHandoff(Thread* new_thread) {
   ContextJump(fresh, nullptr);
 }
 
-Thread* SwitchContext(Continuation cont, Thread* new_thread) {
-  Kernel& k = ActiveKernel();
-  Thread* old_thread = CurrentThread();
+[[gnu::hot]] Thread* SwitchContext(Kernel& k, Thread* old_thread, Continuation cont,
+                                   Thread* new_thread) {
   Ticks transfer_start = k.clock().Now();
+  MKC_ASSERT(old_thread == k.processor().active_thread);
   MKC_ASSERT(new_thread != old_thread);
   MKC_ASSERT(old_thread->kernel_stack != nullptr);
   MKC_ASSERT_MSG(new_thread->kernel_stack != nullptr,
@@ -230,7 +229,7 @@ Thread* SwitchContext(Continuation cont, Thread* new_thread) {
   return static_cast<Thread*>(pass);
 }
 
-[[noreturn]] void ThreadSyscallReturn(KernReturn value) {
+[[noreturn, gnu::hot]] void ThreadSyscallReturn(KernReturn value) {
   Kernel& k = ActiveKernel();
   Thread* thread = CurrentThread();
   MKC_ASSERT(thread->state == ThreadState::kRunning);
@@ -273,7 +272,7 @@ Thread* SwitchContext(Continuation cont, Thread* new_thread) {
                         static_cast<std::uintptr_t>(static_cast<std::uint32_t>(value))));
 }
 
-[[noreturn]] void ThreadExceptionReturn() {
+[[noreturn, gnu::hot]] void ThreadExceptionReturn() {
   Kernel& k = ActiveKernel();
   Thread* thread = CurrentThread();
   MKC_ASSERT(thread->state == ThreadState::kRunning);

@@ -34,7 +34,7 @@ void PreemptContinuation() { ThreadExceptionReturn(); }
 }
 
 // First instruction executed on the kernel stack after a trap.
-void KernelEntry(void* pass, void* arg) {
+[[gnu::hot]] void KernelEntry(void* pass, void* arg) {
   auto* frame = static_cast<TrapFrame*>(pass);
   auto* thread = static_cast<Thread*>(arg);
   switch (frame->kind) {

@@ -194,7 +194,7 @@ void NetIpc::OutboundStep() {
   // Nothing left: block in a fresh receive on the proxy set. Under MK40 the
   // continuation discards this stack; the process models keep it and loop
   // through KernelThreadRunner.
-  EnterReceiveWait(self, &out_buf_, proxy_set_, kMaxInlineBytes, 0, 0);
+  EnterReceiveWait(self, &out_buf_, set, kMaxInlineBytes, 0, 0);
   ThreadBlock(k.UsesContinuations() ? &NetIpcRecvContinue : nullptr,
               BlockReason::kMessageReceive);
 }
@@ -276,8 +276,7 @@ bool NetIpc::OutboundWakeupRecognized(Kernel& k, Thread* waiter) {
   if (waiter->block_start != 0) {
     waiter->block_start = k.LatencyNow();  // Re-parked: restart the block clock.
   }
-  EnterReceiveWait(waiter, &self->out_buf_, self->proxy_set_, kMaxInlineBytes,
-                   0, 0);
+  EnterReceiveWait(waiter, &self->out_buf_, set, kMaxInlineBytes, 0, 0);
   return true;
 }
 
@@ -619,7 +618,7 @@ void NetIpc::EngineServiceAndPark(bool from_handler) {
 
   FlushBatch();
   engine_waiting_ = true;
-  EnterReceiveWait(self, &engine_buf_, ack_port_, kMaxInlineBytes, 0, timeout);
+  EnterReceiveWait(self, &engine_buf_, ap, kMaxInlineBytes, 0, timeout);
   if (!from_handler) {
     ThreadBlock(k.UsesContinuations() ? &NetIpcAckContinue : nullptr,
                 BlockReason::kMessageReceive);

@@ -14,24 +14,19 @@
 #define MACHCONT_SRC_OBS_TIMED_SCOPE_H_
 
 #include "src/base/types.h"
+#include "src/kern/kernel.h"
 #include "src/obs/metrics.h"
 
 namespace mkc {
 
-class Kernel;
-
-// Defined in kern/kernel.cc; returns kernel.LatencyNow(). Lives here as a
-// free function so this header need not pull in all of kernel.h.
-Ticks KernelLatencyNow(const Kernel& kernel);
-
 class TimedScope {
  public:
   TimedScope(const Kernel& kernel, LatencyHistogram* hist)
-      : kernel_(kernel), hist_(hist), start_(KernelLatencyNow(kernel)) {}
+      : kernel_(kernel), hist_(hist), start_(kernel.LatencyNow()) {}
 
   ~TimedScope() {
     if (hist_ != nullptr) {
-      hist_->Record(KernelLatencyNow(kernel_) - start_);
+      hist_->Record(kernel_.LatencyNow() - start_);
     }
   }
 

@@ -40,9 +40,9 @@ void YieldContinuation() { ThreadSyscallReturn(KernReturn::kSuccess); }
   }
   self->state = ThreadState::kRunnable;
   if (k.UsesContinuations() && k.config().enable_handoff && target->continuation != nullptr) {
-    ThreadHandoff(&YieldContinuation, target, BlockReason::kThreadSwitch);
+    ThreadHandoff(k, self, &YieldContinuation, target, BlockReason::kThreadSwitch);
     // Running as the target, in the donor's frame.
-    CallContinuation(TakeContinuation(target));
+    CallContinuation(k, target, TakeContinuation(target));
     // NOTREACHED
   }
   ThreadRunDirected(target, BlockReason::kThreadSwitch);
@@ -57,7 +57,7 @@ void RegisterSyscallContinuations(ContinuationRegistry& registry) {
   registry.Register(&YieldContinuation, "thread_yield_continue");
 }
 
-[[noreturn]] void SyscallDispatch(Thread* thread, TrapFrame* frame) {
+[[noreturn, gnu::hot]] void SyscallDispatch(Thread* thread, TrapFrame* frame) {
   Kernel& k = ActiveKernel();
   switch (frame->number) {
     case Syscall::kNull:

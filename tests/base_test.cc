@@ -1,12 +1,15 @@
 // Unit tests for the base substrate: RNG, virtual clock, event queue,
-// kern_return names, cost model, cycle conversions.
+// kern_return names, cost model, cycle conversions, spinlocks and the
+// ambient-kernel checks.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "src/base/kern_return.h"
 #include "src/base/rng.h"
+#include "src/base/spinlock.h"
 #include "src/base/vclock.h"
+#include "src/kern/kernel.h"
 #include "src/machine/cost_model.h"
 #include "src/machine/cycle_model.h"
 
@@ -149,6 +152,38 @@ TEST(CycleModelTest, ConversionMatchesSimulatedClock) {
   EXPECT_LT(kCycStackHandoff, kCycContextSwitchNoSave);
   EXPECT_LT(kCycContextSwitchNoSave, kCycContextSwitch);
   EXPECT_LT(kCycSyscallExitMk32, kCycSyscallExitMk40);
+}
+
+// The simulator runs on one host thread, so a second Lock() can only mean a
+// lock held across a block: it must panic, not spin.
+TEST(SpinLockTest, RelockWhileHeldPanics) {
+  SpinLock lock;
+  lock.Lock();
+  EXPECT_DEATH(lock.Lock(), "spinlock deadlock");
+  lock.Unlock();
+}
+
+TEST(SpinLockTest, TryLockFailsWhileHeldAndSucceedsAfterUnlock) {
+  SpinLock lock;
+  ASSERT_TRUE(lock.TryLock());
+  EXPECT_FALSE(lock.TryLock());
+  lock.Unlock();
+  EXPECT_TRUE(lock.TryLock());
+  lock.Unlock();
+  {
+    SpinLockGuard guard(lock);
+    EXPECT_FALSE(lock.TryLock());
+  }
+  EXPECT_TRUE(lock.TryLock());
+  lock.Unlock();
+}
+
+// ActiveKernel() and CurrentThread() are inline on the hot paths; their
+// checks must still fire outside Kernel::Run.
+TEST(ActiveKernelTest, OutsideRunPanics) {
+  EXPECT_FALSE(KernelIsActive());
+  EXPECT_DEATH(ActiveKernel(), "no kernel is running");
+  EXPECT_DEATH(CurrentThread(), "no kernel is running");
 }
 
 }  // namespace

@@ -31,9 +31,12 @@ TEST(RecognitionTableTest, RegisterLookupUnregister) {
   EXPECT_EQ(table.Find(&ContA), nullptr);
   EXPECT_EQ(table.Find(nullptr), nullptr);
   EXPECT_FALSE(table.HasSpecialization(&ContA));
+  EXPECT_FALSE(table.has_wakeup_handlers());
 
   table.Register(&ContA, &HandoffNever, nullptr);
+  EXPECT_FALSE(table.has_wakeup_handlers());
   table.Register(&ContB, nullptr, &WakeupNever);
+  EXPECT_TRUE(table.has_wakeup_handlers());
 
   RecognitionEntry* a = table.Find(&ContA);
   ASSERT_NE(a, nullptr);
@@ -53,6 +56,9 @@ TEST(RecognitionTableTest, RegisterLookupUnregister) {
   // subsystems unregister unconditionally in their destructors).
   table.Unregister(&ContA);
   EXPECT_EQ(table.entries().size(), 1u);
+  EXPECT_TRUE(table.has_wakeup_handlers());
+  table.Unregister(&ContB);
+  EXPECT_FALSE(table.has_wakeup_handlers());
 }
 
 TEST(RecognitionTableTest, DuplicateRegistrationPanics) {

@@ -66,21 +66,23 @@ void Device::Submit(Completion done) {
 
 void Device::RaiseInterruptAt(Ticks when) {
   interrupt_armed_ = true;
-  Device* self = this;
-  kernel_.events().Post(when, [self] {
-    // "Interrupt context": move the head request to the completed queue and
-    // wake the service thread; defer the real work to thread level.
-    self->interrupt_armed_ = false;
-    ++self->stats_.interrupts;
-    if (Request* head = self->in_flight_.DequeueHead()) {
-      self->completed_.EnqueueTail(head);
-      if (!self->in_flight_.Empty()) {
-        self->head_done_time_ = self->kernel_.clock().Now() + self->latency_;
-        self->RaiseInterruptAt(self->head_done_time_);
-      }
+  kernel_.events().Post(when, &Device::InterruptFire, this);
+}
+
+void Device::InterruptFire(void* ctx, std::uint64_t /*arg*/) {
+  // "Interrupt context": move the head request to the completed queue and
+  // wake the service thread; defer the real work to thread level.
+  auto* self = static_cast<Device*>(ctx);
+  self->interrupt_armed_ = false;
+  ++self->stats_.interrupts;
+  if (Request* head = self->in_flight_.DequeueHead()) {
+    self->completed_.EnqueueTail(head);
+    if (!self->in_flight_.Empty()) {
+      self->head_done_time_ = self->kernel_.clock().Now() + self->latency_;
+      self->RaiseInterruptAt(self->head_done_time_);
     }
-    self->kernel_.ThreadWakeupAll(&self->service_event_);
-  });
+  }
+  self->kernel_.ThreadWakeupAll(&self->service_event_);
 }
 
 void Device::ServiceStep() {

@@ -63,6 +63,7 @@ class Device {
   };
 
   void RaiseInterruptAt(Ticks when);
+  static void InterruptFire(void* ctx, std::uint64_t arg);  // Event callback.
 
   Kernel& kernel_;
   std::string name_;

@@ -14,8 +14,12 @@ namespace mkc {
 namespace {
 
 // The kernel-side completion continuation: runs from the event queue in
-// virtual time, delivers the notification, and must not block.
-void AsyncIoComplete(Kernel& k, PortId notify_port, std::uint32_t request_id) {
+// virtual time, delivers the notification, and must not block. `ctx` is the
+// kernel; `port_and_id` packs the notify port (high word) and request id.
+void AsyncIoComplete(void* ctx, std::uint64_t port_and_id) {
+  Kernel& k = *static_cast<Kernel*>(ctx);
+  const auto notify_port = static_cast<PortId>(port_and_id >> 32);
+  const auto request_id = static_cast<std::uint32_t>(port_and_id);
   auto& stats = GetAsyncIoStats(k);
   ++stats.completed;
 
@@ -59,11 +63,10 @@ AsyncIoStats& GetAsyncIoStats(Kernel& kernel) { return kernel.ext().async_io; }
     ThreadSyscallReturn(KernReturn::kInvalidArgument);
   }
   ++GetAsyncIoStats(k).started;
-  PortId port = args->notify_port;
-  std::uint32_t id = args->request_id;
-  Kernel* kp = &k;
-  k.events().Post(k.clock().Now() + args->latency,
-                  [kp, port, id] { AsyncIoComplete(*kp, port, id); });
+  const std::uint64_t port_and_id =
+      (std::uint64_t{args->notify_port} << 32) | args->request_id;
+  k.events().Post(k.clock().Now() + args->latency, &AsyncIoComplete, &k,
+                  port_and_id);
   // The requesting thread keeps the processor: that is the point of
   // asynchronous I/O.
   ThreadSyscallReturn(KernReturn::kSuccess);

@@ -70,6 +70,38 @@ bool StrictOptions(std::uint32_t options, std::uint32_t rcv_limit) {
   return (options & kMsgRcvStrictOpt) != 0 || rcv_limit < kMaxInlineBytes;
 }
 
+// The receive-timeout event EnterReceiveWait posts. The queue drops it
+// unrun once the thread enters another wait (the record's generation is the
+// thread's wait_seq), so reaching here means the wait it was armed for is
+// the thread's latest one. That wait may still have ended: a receive that
+// took a queued message leaves the timer armed, and the thread may since
+// have blocked for another reason (a send to a full queue), which the timer
+// must leave alone.
+void ReceiveTimeoutFire(void* ctx, std::uint64_t /*armed_seq*/) {
+  auto* thread = static_cast<Thread*>(ctx);
+  if (thread->state != ThreadState::kWaiting ||
+      thread->block_reason != BlockReason::kMessageReceive) {
+    return;
+  }
+  auto& ws = thread->Scratch<MsgWaitState>();
+  if ((ws.flags & kMsgWaitDirectComplete) != 0) {
+    return;
+  }
+  Kernel& k = ActiveKernel();
+  Port* p = k.ipc().Lookup(ws.port);
+  if (p != nullptr && IntrusiveQueue<Thread, &Thread::ipc_link>::OnAQueue(thread)) {
+    p->receivers.Remove(thread);
+  }
+  ws.result = KernReturn::kRcvTimedOut;
+  ws.flags |= kMsgWaitDirectComplete;
+  // A specialized on_wakeup handler (the netipc engine's retransmit timer)
+  // services the timeout inline and re-parks the thread.
+  if (k.ConsultWakeupRecognition(thread)) {
+    return;
+  }
+  k.ThreadSetrun(thread);
+}
+
 // Completes the current thread's receive. Shared by the two receive
 // continuations; re-blocks (tail-recursively, with the same continuation) on
 // spurious wakeups. MK40 only.
@@ -112,10 +144,11 @@ bool StrictOptions(std::uint32_t options, std::uint32_t rcv_limit) {
     ThreadSyscallReturn(KernReturn::kSuccess);
   }
 
-  // Spurious wakeup: wait again, with ourselves as the continuation.
+  // Spurious wakeup: wait again, with ourselves as the continuation. The
+  // same logical wait goes on, so wait_seq stays and a pending timeout
+  // still fires.
   port->receivers.EnqueueTail(t);
   t->state = ThreadState::kWaiting;
-  ++t->wait_seq;
   ThreadBlock(strict ? MachMsgSlowContinue : MachMsgContinue, BlockReason::kMessageReceive);
   Panic("continuation block returned");
 }
@@ -363,33 +396,13 @@ void EnterReceiveWait(Thread* thread, UserMessage* buffer, Port* port,
   st.flags = 0;
   port->receivers.EnqueueTail(thread);
   thread->state = ThreadState::kWaiting;
+  // A new logical wait: this cancels the previous wait's timer, if any.
   ++thread->wait_seq;
 
   if (timeout != 0) {
-    Kernel* kp = &ActiveKernel();
-    std::uint32_t armed_seq = thread->wait_seq;
-    kp->events().Post(kp->clock().Now() + timeout, [kp, thread, armed_seq] {
-      // Fire only if the very wait we were armed for is still in progress.
-      if (thread->wait_seq != armed_seq || thread->state != ThreadState::kWaiting) {
-        return;
-      }
-      auto& ws = thread->Scratch<MsgWaitState>();
-      if ((ws.flags & kMsgWaitDirectComplete) != 0) {
-        return;
-      }
-      Port* p = kp->ipc().Lookup(ws.port);
-      if (p != nullptr && IntrusiveQueue<Thread, &Thread::ipc_link>::OnAQueue(thread)) {
-        p->receivers.Remove(thread);
-      }
-      ws.result = KernReturn::kRcvTimedOut;
-      ws.flags |= kMsgWaitDirectComplete;
-      // A specialized on_wakeup handler (the netipc engine's retransmit
-      // timer) services the timeout inline and re-parks the thread.
-      if (kp->ConsultWakeupRecognition(thread)) {
-        return;
-      }
-      kp->ThreadSetrun(thread);
-    });
+    Kernel& k = ActiveKernel();
+    k.events().Post(k.clock().Now() + timeout, &ReceiveTimeoutFire, thread,
+                    thread->wait_seq, &thread->wait_seq);
   }
 }
 
@@ -497,10 +510,10 @@ void DeliverDirect(Thread* receiver, const MessageHeader& header, const void* bo
       }
       ThreadSyscallReturn(KernReturn::kSuccess);
     }
-    // Spurious wakeup: wait again (stack and registers preserved).
+    // Spurious wakeup: wait again (stack and registers preserved), still
+    // under the same wait_seq and so the same timeout.
     port->receivers.EnqueueTail(thread);
     thread->state = ThreadState::kWaiting;
-    ++thread->wait_seq;
     ThreadBlock(nullptr, BlockReason::kMessageReceive);
   }
 }

@@ -136,8 +136,9 @@ struct Thread {
   // --- Wait bookkeeping -------------------------------------------------
   const void* wait_event = nullptr;       // Event for AssertWait/ThreadWakeup.
   KernReturn wait_result = KernReturn::kSuccess;
-  // Incremented on every new receive-wait; lets timeout events detect that
-  // the wait they were armed for has already completed.
+  // Names one logical receive wait: EnterReceiveWait increments it, and a
+  // spurious wakeup that re-waits keeps it. It is the generation word of the
+  // wait's timeout event, so the next wait cancels a superseded timer.
   std::uint32_t wait_seq = 0;
 
   // --- IPC / exception plumbing ------------------------------------------

@@ -48,22 +48,42 @@ void Network::Transmit(NetIpc& src, NetIpc& dst, const std::byte* bytes,
   // Arrival is computed against the sender's whole-machine frontier: the
   // packet cannot arrive before it finished being sent.
   const Ticks when = sk.VirtualTime() + config_.latency + config_.per_byte * len + extra;
-  Deliver(dst, std::vector<std::byte>(bytes, bytes + len), when, link);
+  Deliver(dst, bytes, len, when, link);
   if (config_.dup_per_mille > 0 && rng_.Chance(config_.dup_per_mille) &&
       in_flight_[static_cast<std::size_t>(link)] < config_.queue_limit) {
     ++st.dups;
-    Deliver(dst, std::vector<std::byte>(bytes, bytes + len), when + 1, link);
+    Deliver(dst, bytes, len, when + 1, link);
   }
 }
 
-void Network::Deliver(NetIpc& dst, std::vector<std::byte> packet, Ticks when,
-                      int link) {
+void Network::Deliver(NetIpc& dst, const std::byte* bytes, std::uint32_t len,
+                      Ticks when, int link) {
+  std::uint32_t id;
+  if (free_packets_.empty()) {
+    id = static_cast<std::uint32_t>(packets_.size());
+    packets_.emplace_back();
+  } else {
+    id = free_packets_.back();
+    free_packets_.pop_back();
+  }
+  Packet& p = packets_[id];
+  p.bytes.assign(bytes, bytes + len);
+  p.dst = &dst;
+  p.link = link;
   ++in_flight_[static_cast<std::size_t>(link)];
-  dst.kernel().events().Post(
-      when, [this, &dst, link, data = std::move(packet)]() {
-        --in_flight_[static_cast<std::size_t>(link)];
-        dst.DeliverWire(data.data(), static_cast<std::uint32_t>(data.size()));
-      });
+  dst.kernel().events().Post(when, &Network::Arrive, this, id);
+}
+
+void Network::Arrive(void* ctx, std::uint64_t packet) {
+  auto* net = static_cast<Network*>(ctx);
+  const auto id = static_cast<std::uint32_t>(packet);
+  const Packet& p = net->packets_[id];
+  --net->in_flight_[static_cast<std::size_t>(p.link)];
+  // DeliverWire may re-enter Transmit and grow packets_, which moves `p` but
+  // never its byte buffer; the buffer stays off the free list until the
+  // delivery returns.
+  p.dst->DeliverWire(p.bytes.data(), static_cast<std::uint32_t>(p.bytes.size()));
+  net->free_packets_.push_back(id);
 }
 
 }  // namespace mkc

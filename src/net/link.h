@@ -8,6 +8,15 @@
 // frontier — the cluster driver's frontier arbitration (net/cluster.h)
 // guarantees the destination clock has not passed that deadline, so
 // arrival order is deterministic for a given seed.
+//
+// The bytes on the wire live in packet buffers the Network owns and
+// recycles LIFO; a delivery event names its buffer by index (the event's
+// `arg`, with the Network as its `ctx`). A buffer returns to the free list
+// only after the destination's DeliverWire returns, because delivery may
+// re-enter Transmit. So once the pool has grown to the peak number of
+// packets in flight at once, a packet allocates nothing. Delivery events
+// hold a pointer to the Network, so it must outlive every drain of the
+// nodes' event queues; the Cluster, which owns both, guarantees that.
 #ifndef MACHCONT_SRC_NET_LINK_H_
 #define MACHCONT_SRC_NET_LINK_H_
 
@@ -44,6 +53,9 @@ class Network {
 
   const LinkConfig& config() const { return config_; }
 
+  // Packet buffers the pool owns, in flight or free: its high-water mark.
+  std::size_t packet_buffers() const { return packets_.size(); }
+
   // Test hook: changes the loss rate mid-run (e.g. to partition a node and
   // drive a lazy-OOL pull to exhaustion). Determinism across runs only
   // holds if both runs change the rate at the same point.
@@ -57,12 +69,22 @@ class Network {
            static_cast<std::size_t>(dst);
   }
 
-  void Deliver(NetIpc& dst, std::vector<std::byte> packet, Ticks when, int link);
+  struct Packet {
+    std::vector<std::byte> bytes;  // Capacity is kept across reuses.
+    NetIpc* dst = nullptr;
+    int link = 0;
+  };
+
+  void Deliver(NetIpc& dst, const std::byte* bytes, std::uint32_t len, Ticks when,
+               int link);
+  static void Arrive(void* ctx, std::uint64_t packet);  // Delivery event.
 
   LinkConfig config_;
   int nnodes_;
   Rng rng_;  // Network randomness is its own stream, independent of any node.
   std::vector<std::size_t> in_flight_;  // Per ordered pair, indexed src*n+dst.
+  std::vector<Packet> packets_;         // The pool, indexed by packet id.
+  std::vector<std::uint32_t> free_packets_;  // LIFO: the warmest buffer first.
 };
 
 }  // namespace mkc

@@ -624,7 +624,7 @@ void NetIpc::EngineServiceAndPark(bool from_handler) {
                 BlockReason::kMessageReceive);
   }
   // from_handler: the engine never stopped being blocked — EnterReceiveWait
-  // re-enqueued it (and bumped wait_seq, invalidating any stale timeout);
+  // re-enqueued it (and bumped wait_seq, cancelling the superseded timeout);
   // its continuation is still NetIpcAckContinue, so it is again a
   // well-formed parked waiter without ever having been scheduled.
 }

@@ -254,8 +254,12 @@ void OpenLoopEngine::BuildFrontend(Kernel& front) {
   if (next_batch_.empty()) {
     gen_done_ = true;
   } else {
-    front.events().Post(next_batch_.front().tick, [this] { GeneratorFire(); });
+    front.events().Post(next_batch_.front().tick, &GeneratorEvent, this);
   }
+}
+
+void OpenLoopEngine::GeneratorEvent(void* ctx, std::uint64_t /*arg*/) {
+  static_cast<OpenLoopEngine*>(ctx)->GeneratorFire();
 }
 
 // The generator event: lands the due batch on the backlog (this is the
@@ -275,7 +279,7 @@ void OpenLoopEngine::GeneratorFire() {
     gen_done_ = true;
     KickParked(injectors_.size());  // Wake everyone for drain-and-exit.
   } else {
-    front_->events().Post(next_batch_.front().tick, [this] { GeneratorFire(); });
+    front_->events().Post(next_batch_.front().tick, &GeneratorEvent, this);
     KickParked(pushed);
   }
 }

@@ -191,6 +191,7 @@ class OpenLoopEngine {
   struct InjectorState;
 
   void BuildFrontend(Kernel& front);
+  static void GeneratorEvent(void* ctx, std::uint64_t arg);  // Event callback.
   void GeneratorFire();
   void KickParked(std::size_t want);
   void IssueRequest(InjectorState& inj, ServiceKind kind, std::uint64_t key,

@@ -64,11 +64,16 @@ void TickerBody() {
   ThreadBlock(k.UsesContinuations() ? &TickerBody<Slot> : nullptr, BlockReason::kInternal);
 }
 
+void PostTick(TickerState* ts);
+
+void TickFire(void* ctx, std::uint64_t /*arg*/) {
+  auto* ts = static_cast<TickerState*>(ctx);
+  ts->kernel->ThreadWakeupAll(&ts->event);
+  PostTick(ts);
+}
+
 void PostTick(TickerState* ts) {
-  ts->kernel->events().Post(ts->kernel->clock().Now() + ts->period, [ts] {
-    ts->kernel->ThreadWakeupAll(&ts->event);
-    PostTick(ts);
-  });
+  ts->kernel->events().Post(ts->kernel->clock().Now() + ts->period, &TickFire, ts);
 }
 
 template <int Slot>

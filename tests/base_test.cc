@@ -3,6 +3,7 @@
 // ambient-kernel checks.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "src/base/kern_return.h"
@@ -77,46 +78,161 @@ TEST(VirtualClockTest, AdvanceAndAdvanceTo) {
   EXPECT_EQ(clock.Now(), 500u);
 }
 
-TEST(EventQueueTest, RunsInDeadlineOrder) {
-  VirtualClock clock;
-  EventQueue events;
-  std::vector<int> order;
-  events.Post(300, [&] { order.push_back(3); });
-  events.Post(100, [&] { order.push_back(1); });
-  events.Post(200, [&] { order.push_back(2); });
+// Event callback for the queue tests: appends `arg` to the vector at `ctx`.
+void Record(void* ctx, std::uint64_t arg) {
+  static_cast<std::vector<std::uint64_t>*>(ctx)->push_back(arg);
+}
+
+void RunAll(EventQueue& events, VirtualClock& clock) {
   while (!events.Empty()) {
     events.RunNext(clock);
   }
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventQueueTest, RunsInDeadlineOrder) {
+  VirtualClock clock;
+  EventQueue events;
+  std::vector<std::uint64_t> order;
+  events.Post(300, &Record, &order, 3);
+  events.Post(100, &Record, &order, 1);
+  events.Post(200, &Record, &order, 2);
+  RunAll(events, clock);
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2, 3}));
   EXPECT_EQ(clock.Now(), 300u);
 }
 
 TEST(EventQueueTest, SameDeadlineRunsInPostOrder) {
   VirtualClock clock;
   EventQueue events;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    events.Post(42, [&order, i] { order.push_back(i); });
+  std::vector<std::uint64_t> order;
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    events.Post(42, &Record, &order, i);
   }
-  while (!events.Empty()) {
-    events.RunNext(clock);
+  RunAll(events, clock);
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{0, 1, 2, 3, 4}));
+}
+
+struct Chain {
+  EventQueue* events = nullptr;
+  int fired = 0;
+};
+
+// Fires, then posts itself once more at tick 20 while `arg` is nonzero.
+void ChainFire(void* ctx, std::uint64_t arg) {
+  auto* chain = static_cast<Chain*>(ctx);
+  ++chain->fired;
+  if (arg > 0) {
+    chain->events->Post(20, &ChainFire, chain, arg - 1);
   }
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(EventQueueTest, EventsMayPostEvents) {
   VirtualClock clock;
   EventQueue events;
-  int fired = 0;
-  events.Post(10, [&] {
-    ++fired;
-    events.Post(20, [&] { ++fired; });
-  });
+  Chain chain;
+  chain.events = &events;
+  events.Post(10, &ChainFire, &chain, 1);
   events.RunNext(clock);
   ASSERT_FALSE(events.Empty());
   events.RunNext(clock);
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(chain.fired, 2);
   EXPECT_EQ(clock.Now(), 20u);
+}
+
+TEST(EventQueueTest, CancelledRecordNeverRunsNorAdvancesClock) {
+  VirtualClock clock;
+  EventQueue events;
+  std::vector<std::uint64_t> order;
+  std::uint32_t gen = 7;
+  events.Post(100, &Record, &order, 7, &gen);  // Live while gen == 7.
+  events.Post(50, &Record, &order, 1);
+  ++gen;
+  RunAll(events, clock);
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1}));
+  EXPECT_EQ(clock.Now(), 50u);  // Not 100: the cancelled deadline is skipped.
+}
+
+TEST(EventQueueTest, EmptyAndNextDeadlineSkipCancelled) {
+  EventQueue events;
+  std::vector<std::uint64_t> order;
+  std::uint32_t gen = 0;
+  events.Post(10, &Record, &order, 0, &gen);
+  EXPECT_FALSE(events.Empty());
+  EXPECT_EQ(events.NextDeadline(), 10u);
+  events.Post(30, &Record, &order, 2);
+  gen = 1;  // Cancels the tick-10 record, now under the live one.
+  EXPECT_FALSE(events.Empty());
+  EXPECT_EQ(events.NextDeadline(), 30u);
+
+  EventQueue only_cancelled;
+  std::uint32_t gen2 = 5;
+  only_cancelled.Post(10, &Record, &order, 5, &gen2);
+  gen2 = 6;
+  EXPECT_TRUE(only_cancelled.Empty());
+  EXPECT_TRUE(order.empty());  // Neither Empty() nor NextDeadline() runs anything.
+}
+
+TEST(EventQueueTest, LiveRecordsKeepPostOrderAroundCancelledOnes) {
+  VirtualClock clock;
+  EventQueue events;
+  std::vector<std::uint64_t> order;
+  std::uint32_t gens[8];
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    gens[i] = i;
+    events.Post(42, &Record, &order, i, (i % 2 == 1) ? &gens[i] : nullptr);
+  }
+  events.Post(41, &Record, &order, 100);
+  events.Post(43, &Record, &order, 200);
+  for (std::uint32_t i = 1; i < 8; i += 2) {
+    ++gens[i];  // Cancel every odd record.
+  }
+  RunAll(events, clock);
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{100, 0, 2, 4, 6, 200}));
+}
+
+// A re-armable timer in the shape of a receive timeout: arming bumps the
+// generation word, which cancels whatever the previous arming posted.
+struct Timer {
+  EventQueue* events = nullptr;
+  std::uint32_t gen = 0;
+  std::vector<std::uint64_t> fired;  // Generation of each firing.
+
+  void Arm(Ticks when) {
+    ++gen;
+    events->Post(when, &Fire, this, gen, &gen);
+  }
+  static void Fire(void* ctx, std::uint64_t arg) {
+    static_cast<Timer*>(ctx)->fired.push_back(arg);
+  }
+};
+
+struct Rearmer {
+  Timer* timer = nullptr;
+  std::vector<std::uint64_t>* order = nullptr;
+};
+
+// A "packet" event: posts a follow-up event and re-arms the timer later,
+// cancelling the timer's pending predecessor.
+void RearmFire(void* ctx, std::uint64_t arg) {
+  auto* r = static_cast<Rearmer*>(ctx);
+  r->order->push_back(arg);
+  r->timer->events->Post(20, &Record, r->order, arg + 1);
+  r->timer->Arm(40);
+}
+
+TEST(EventQueueTest, EventMayPostAndCancelItsPredecessor) {
+  VirtualClock clock;
+  EventQueue events;
+  std::vector<std::uint64_t> order;
+  Timer timer;
+  timer.events = &events;
+  Rearmer rearmer{&timer, &order};
+  timer.Arm(30);  // Generation 1: superseded before it is due.
+  events.Post(10, &RearmFire, &rearmer, 1);
+  RunAll(events, clock);
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(timer.fired, (std::vector<std::uint64_t>{2}));  // Only the re-armed one.
+  EXPECT_EQ(clock.Now(), 40u);
 }
 
 TEST(KernReturnTest, NamesAreDistinctAndStable) {

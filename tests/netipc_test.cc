@@ -1,7 +1,8 @@
 // netipc tests: cross-node RPC correctness (lossless and lossy links),
 // Table-5 stack accounting for the blocked protocol threads, proxy-port GC
-// through the DestroyPort death hook, timed receives resuming via
-// continuation, and cluster determinism.
+// through the DestroyPort death hook, timed receives (resuming via
+// continuation, re-armed, spuriously woken, outlived by their timer), the
+// wire's packet-buffer pool bound, and cluster determinism.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -264,6 +265,168 @@ TEST(NetIpcTest, TimedOutReceiveResumesViaContinuation) {
   EXPECT_EQ(env.observed_stack, nullptr);
   EXPECT_EQ(env.observed_cont, &MachMsgContinue);
   EXPECT_EQ(env.result, KernReturn::kRcvTimedOut);
+}
+
+// A timed receive that completes early and then waits again with a longer
+// timeout must time out at the new deadline: entering the second wait
+// cancels the first wait's timer, which would otherwise cut it short.
+struct RearmEnv {
+  PortId port = kInvalidPort;
+  KernReturn first = KernReturn::kFailure;
+  KernReturn second = KernReturn::kFailure;
+  Ticks second_elapsed = 0;
+};
+
+RearmEnv* g_rearm = nullptr;
+
+void RearmingReceiver(void*) {
+  Kernel& k = ActiveKernel();
+  UserMessage msg;
+  g_rearm->first = UserMachMsg(&msg, kMsgRcvOpt, 0, kMaxInlineBytes, g_rearm->port, 5000);
+  const Ticks start = k.clock().Now();
+  g_rearm->second =
+      UserMachMsg(&msg, kMsgRcvOpt, 0, kMaxInlineBytes, g_rearm->port, 20000);
+  g_rearm->second_elapsed = k.clock().Now() - start;
+}
+
+void EarlySender(void*) {
+  UserWork(1000);  // Well inside the receiver's first 5000-tick deadline.
+  UserMessage msg;
+  msg.header.dest = g_rearm->port;
+  ASSERT_EQ(UserMachMsg(&msg, kMsgSendOpt, 8, 0, kInvalidPort), KernReturn::kSuccess);
+}
+
+class TimedReceiveModelTest : public testing::TestWithParam<ControlTransferModel> {};
+
+TEST_P(TimedReceiveModelTest, RearmedTimeoutFiresAtTheNewDeadline) {
+  KernelConfig config;
+  config.model = GetParam();
+  RearmEnv env;
+  g_rearm = &env;
+  Kernel kernel(config);
+  Task* task = kernel.CreateTask("rearm");
+  env.port = kernel.ipc().AllocatePort(task);
+  ThreadOptions high;
+  high.priority = 28;  // Parks in its first timed receive before the send.
+  kernel.CreateUserThread(task, &RearmingReceiver, nullptr, high);
+  kernel.CreateUserThread(task, &EarlySender, nullptr);
+  kernel.Run();
+  g_rearm = nullptr;
+
+  EXPECT_EQ(env.first, KernReturn::kSuccess);
+  EXPECT_EQ(env.second, KernReturn::kRcvTimedOut);
+  EXPECT_GE(env.second_elapsed, 20000u);
+  EXPECT_LT(env.second_elapsed, 22000u);
+}
+
+// A timed receive woken spuriously keeps its deadline. Mach 2.5 queues the
+// message and wakes the parked receiver through the scheduler; the sender
+// then takes the message itself before the receiver runs. The receiver
+// re-waits as the same logical wait, so the original timer still ends it.
+struct SpuriousEnv {
+  PortId port = kInvalidPort;
+  KernReturn result = KernReturn::kFailure;
+  Ticks elapsed = 0;
+  bool sender_took_message = false;
+};
+
+SpuriousEnv* g_spurious = nullptr;
+
+void SpuriouslyWokenReceiver(void*) {
+  Kernel& k = ActiveKernel();
+  const Ticks start = k.clock().Now();
+  UserMessage msg;
+  g_spurious->result =
+      UserMachMsg(&msg, kMsgRcvOpt, 0, kMaxInlineBytes, g_spurious->port, 10000);
+  g_spurious->elapsed = k.clock().Now() - start;
+}
+
+void MessageStealer(void*) {
+  UserYield();  // Let the receiver park first.
+  UserMessage msg;
+  msg.header.dest = g_spurious->port;
+  ASSERT_EQ(UserMachMsg(&msg, kMsgSendOpt, 8, 0, kInvalidPort), KernReturn::kSuccess);
+  ASSERT_EQ(UserMachMsg(&msg, kMsgRcvOpt, 0, kMaxInlineBytes, g_spurious->port),
+            KernReturn::kSuccess);
+  g_spurious->sender_took_message = true;
+}
+
+TEST(NetIpcTest, SpuriouslyWokenTimedReceiveStillTimesOut) {
+  KernelConfig config;
+  config.model = ControlTransferModel::kMach25;
+  SpuriousEnv env;
+  g_spurious = &env;
+  Kernel kernel(config);
+  Task* task = kernel.CreateTask("spurious");
+  env.port = kernel.ipc().AllocatePort(task);
+  kernel.CreateUserThread(task, &MessageStealer, nullptr);
+  kernel.CreateUserThread(task, &SpuriouslyWokenReceiver, nullptr);
+  kernel.Run();
+  g_spurious = nullptr;
+
+  ASSERT_TRUE(env.sender_took_message);
+  EXPECT_EQ(env.result, KernReturn::kRcvTimedOut);
+  EXPECT_GE(env.elapsed, 10000u);
+  EXPECT_LT(env.elapsed, 12000u);
+}
+
+// A timed receive that takes a queued message leaves its timer armed until
+// the thread's next receive wait. If the thread blocks for another reason
+// before the deadline, here a send to a full queue, the timer must leave
+// that block alone instead of pulling the thread off the wrong queue.
+struct StaleTimerEnv {
+  PortId rcv = kInvalidPort;
+  PortId full = kInvalidPort;
+  KernReturn received = KernReturn::kFailure;
+  int sends_done = 0;
+};
+
+StaleTimerEnv* g_stale = nullptr;
+
+void ReceiveThenBlockInSend(void*) {
+  UserMessage msg;
+  g_stale->received =
+      UserMachMsg(&msg, kMsgRcvOpt, 0, kMaxInlineBytes, g_stale->rcv, 10000);
+  for (int i = 0; i < 2; ++i) {  // The queue holds one: the second send blocks.
+    UserMessage out;
+    out.header.dest = g_stale->full;
+    UserMachMsg(&out, kMsgSendOpt, 8, 0, kInvalidPort);
+    ++g_stale->sends_done;
+  }
+}
+
+void SendThenOutwaitTheDeadline(void*) {
+  UserYield();  // Let the receiver park.
+  UserMessage msg;
+  msg.header.dest = g_stale->rcv;
+  ASSERT_EQ(UserMachMsg(&msg, kMsgSendOpt, 8, 0, kInvalidPort), KernReturn::kSuccess);
+  UserYield();      // Let it take the message and block in its second send.
+  UserWork(30000);  // Sail past the receive's 10000-tick deadline.
+}
+
+TEST(NetIpcTest, CompletedTimedReceiveLeavesLaterBlocksAlone) {
+  KernelConfig config;
+  config.model = ControlTransferModel::kMach25;  // Receives take the queued path.
+  StaleTimerEnv env;
+  g_stale = &env;
+  Kernel kernel(config);
+  Task* task = kernel.CreateTask("stale");
+  env.rcv = kernel.ipc().AllocatePort(task);
+  env.full = kernel.ipc().AllocatePort(task);
+  kernel.ipc().Lookup(env.full)->qlimit = 1;
+  ThreadOptions high;
+  high.priority = 28;
+  high.daemon = true;  // Ends the run still blocked in its second send.
+  kernel.CreateUserThread(task, &ReceiveThenBlockInSend, nullptr, high);
+  kernel.CreateUserThread(task, &SendThenOutwaitTheDeadline, nullptr);
+  kernel.Run();
+  g_stale = nullptr;
+
+  EXPECT_EQ(env.received, KernReturn::kSuccess);
+  EXPECT_EQ(env.sends_done, 1);
+  // Blocked once, and never woken by the stale timer.
+  EXPECT_EQ(kernel.ipc().stats().send_full_blocks, 1u);
+  EXPECT_EQ(kernel.ipc().Lookup(env.full)->blocked_senders.Size(), 1u);
 }
 
 // A receive that times out and is retried must stay on the caller's causal
@@ -690,6 +853,36 @@ TEST(NetIpcTest, LossyClusterRunsAreDeterministic) {
   ASSERT_FALSE(first.empty());
   EXPECT_EQ(first, second);
 }
+
+// The wire's packet buffers are recycled: the pool grows to the peak number
+// of packets in flight at once and stays there, however long the run.
+std::size_t PacketBuffersAfterRpcs(std::uint32_t requests_per_client) {
+  KernelConfig config;
+  Cluster cluster(config, 2);
+  ClusterRpcParams p;
+  p.clients = 2;
+  p.requests_per_client = requests_per_client;
+  ClusterReport r = RunClusterRpcWorkload(cluster, p);
+  EXPECT_EQ(r.rpcs_ok, 2u * requests_per_client);
+  EXPECT_EQ(r.rpcs_failed, 0u);
+  return cluster.network().packet_buffers();
+}
+
+TEST(NetIpcTest, PacketPoolIsBoundedByPeakInFlight) {
+  const std::size_t n = PacketBuffersAfterRpcs(25);
+  EXPECT_GT(n, 0u);
+  EXPECT_EQ(PacketBuffersAfterRpcs(100), n);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModels, TimedReceiveModelTest,
+                         testing::Values(ControlTransferModel::kMach25,
+                                         ControlTransferModel::kMK32,
+                                         ControlTransferModel::kMK40),
+                         [](const testing::TestParamInfo<ControlTransferModel>& info) {
+                           return std::string(ModelName(info.param) == std::string("Mach 2.5")
+                                                  ? "Mach25"
+                                                  : ModelName(info.param));
+                         });
 
 }  // namespace
 }  // namespace mkc
